@@ -59,21 +59,13 @@ func main() {
 
 	switch *run {
 	case "all":
-		table2()
-		figure(experiments.Figure7())
-		figure(experiments.Figure8())
-		figure(experiments.Figure9())
-		figure(experiments.Figure10())
-		if err := experiments.RenderFrontier(out, experiments.Figure11()); err != nil {
+		var onFigure func(experiments.Figure)
+		if *svgDir != "" {
+			onFigure = func(f experiments.Figure) { writeSVGs(*svgDir, f) }
+		}
+		if err := experiments.RenderAll(out, onFigure); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintln(out)
-		figure(experiments.OnePassFigure())
-		figure(experiments.AblationTailDrop())
-		figure(experiments.AblationBreakStrategy())
-		figure(experiments.TaxonomyFigure())
-		figure(experiments.BudgetFigure())
-		figure(experiments.MapMatchFigure())
 	case "table2":
 		table2()
 	case "fig7":

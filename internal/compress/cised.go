@@ -51,8 +51,7 @@ func (a CISEDS) Name() string { return "CISED-S" }
 // Compress implements Algorithm. Input timestamps must strictly increase
 // (trajectory.Validate), as everywhere in this package.
 func (a CISEDS) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	return cisedCompress(p, NewCISEDEngine(a.Threshold, false))
+	return runEngine(p, NewCISEDEngine(a.Threshold, false))
 }
 
 // CISEDW is the weak variant: instead of retaining an input sample on a
@@ -75,19 +74,7 @@ func (a CISEDW) WeakSimplification() bool { return true }
 // Compress implements Algorithm. All output timestamps are input
 // timestamps; only positions are synthesized.
 func (a CISEDW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	return cisedCompress(p, NewCISEDEngine(a.Threshold, true))
-}
-
-func cisedCompress(p trajectory.Trajectory, e *CISEDEngine) trajectory.Trajectory {
-	if q, ok := small(p); ok {
-		return q
-	}
-	out := make(trajectory.Trajectory, 0, 8)
-	for _, s := range p {
-		out = append(out, e.Push(s)...)
-	}
-	return append(out, e.Flush()...)
+	return runEngine(p, NewCISEDEngine(a.Threshold, true))
 }
 
 // CISEDEngine is the incremental core shared by CISED-S and CISED-W and by

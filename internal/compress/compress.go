@@ -1,6 +1,6 @@
 // Package compress implements the trajectory compression algorithms studied
-// and proposed by the paper, all as pure batch functions over immutable
-// trajectories (online/streaming counterparts live in internal/stream):
+// and proposed by the paper, as batch functions over immutable
+// trajectories:
 //
 //   - Simple sequential baselines (§2): Uniform (every i-th point, Tobler),
 //     Radial (Euclidean neighbour elimination) and Angular (Jenks' angular
@@ -19,6 +19,13 @@
 //     OPERB (perpendicular distance, arXiv:1702.05597) and CISED-S/CISED-W
 //     (synchronous Euclidean distance, arXiv:1801.05360), which process
 //     each point exactly once with O(1) memory.
+//
+// Each algorithm with an online form (the opening-window family, dead
+// reckoning and the one-pass family) is one incremental Engine: its batch
+// Compress drives the engine, and internal/stream wraps the same engine for
+// live streams, so both forms agree by construction. The package also holds
+// the one spec grammar every tool parses, the Registry behind Parse and
+// ParseOnline.
 //
 // With a single exception, every algorithm returns a subsequence of the
 // input samples: points are only ever discarded, never moved or invented,
@@ -73,6 +80,34 @@ func Rate(origLen, compLen int) float64 {
 		return 0
 	}
 	return 100 * float64(origLen-compLen) / float64(origLen)
+}
+
+// Engine is the incremental core of an algorithm with an online form: Push
+// decides samples as they arrive and Flush ends the stream. Batch Compress
+// and the online wrapper of internal/stream drive the same engine, so the
+// two outputs agree by construction.
+type Engine interface {
+	// Push feeds one sample (timestamps strictly increasing) and returns
+	// the samples whose retention became definite, valid until the next
+	// call.
+	Push(s trajectory.Sample) []trajectory.Sample
+	// Flush ends the stream, returns the remaining retained samples and
+	// resets the engine for reuse.
+	Flush() []trajectory.Sample
+	// Pending reports the samples the engine buffers.
+	Pending() int
+}
+
+// runEngine compresses p by streaming it through e.
+func runEngine(p trajectory.Trajectory, e Engine) trajectory.Trajectory {
+	if q, ok := small(p); ok {
+		return q
+	}
+	out := make(trajectory.Trajectory, 0, 8)
+	for _, s := range p {
+		out = append(out, e.Push(s)...)
+	}
+	return append(out, e.Flush()...)
 }
 
 // small returns p unchanged when it is too short to compress (fewer than 3

@@ -2,25 +2,39 @@ package compress
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trajectory"
 )
 
-// FuzzParse checks the spec parser never panics and that accepted specs
-// yield runnable algorithms.
+// FuzzParse checks the spec grammar never panics, that accepted specs
+// yield runnable algorithms, and that a spec with an online form means the
+// same in both forms: ParseOnline accepts exactly those specs, and its
+// engine reproduces the batch output.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"tdtr:30", "opwsp:30:5", "sw:10:8", "uniform:3", "", "x", "tdtr:",
 		"tdtr:1e309", "opwsp:30:5:7", ":::", "tdtr:-0", "sw:1:1e18",
+		"opwtr:NaN", "dr:Inf", "opwsp:30:NaN",
 	} {
 		f.Add(seed)
 	}
 	p := evenLine(12)
 	f.Fuzz(func(t *testing.T, spec string) {
 		alg, err := Parse(spec)
+		newEngine, onlineErr := ParseOnline(spec)
+		entry, _ := Lookup(spec)
+		if wantOnline := err == nil && entry.Online != nil; (onlineErr == nil) != wantOnline {
+			t.Fatalf("spec %q: ParseOnline error %v, batch error %v", spec, onlineErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if newEngine != nil {
+			if online := runEngine(p, newEngine()); !reflect.DeepEqual(online, alg.Compress(p)) {
+				t.Fatalf("spec %q: online output differs from batch", spec)
+			}
 		}
 		a := alg.Compress(p)
 		if err := a.Validate(); err != nil {

@@ -33,16 +33,7 @@ func (a OPERB) Name() string { return "OPERB" }
 // retaining both endpoints, and every discarded sample is within Threshold
 // of the output segment covering it.
 func (a OPERB) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	if q, ok := small(p); ok {
-		return q
-	}
-	e := NewOPERBEngine(a.Threshold)
-	out := make(trajectory.Trajectory, 0, 8)
-	for _, s := range p {
-		out = append(out, e.Push(s)...)
-	}
-	return append(out, e.Flush()...)
+	return runEngine(p, NewOPERBEngine(a.Threshold))
 }
 
 // OPERBEngine is the incremental core of OPERB, shared by the batch

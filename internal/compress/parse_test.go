@@ -29,6 +29,12 @@ func TestParseValidSpecs(t *testing.T) {
 		{"ndpn:40", "NDP-N(40)"},
 		{"tdtrn:40", "TD-TR-N(40)"},
 		{"squish:40", "SQUISH(40)"},
+		{"vw:50", "VW"},
+		{"operb:30", "OPERB"},
+		{"cisedw:30", "CISED-W"},
+		{"opwtr:30:0", "OPW-TR"},        // window cap 0 = unbounded
+		{"opwtr:30:256", "OPW-TR/W256"}, // capped: the online engine's output
+		{"opwsp:30:5:16", "OPW-SP(5m/s)/W16"},
 		{"TDTR:30", "TD-TR"},       // case-insensitive
 		{" opwtr : 30 ", "OPW-TR"}, // whitespace-tolerant
 	}
@@ -63,6 +69,15 @@ func TestParseInvalidSpecs(t *testing.T) {
 		"butr:-1",     // negative threshold
 		"squish:1",    // budget < 2
 		"tdtrn:10.5",  // non-integer budget
+		"bopw:30:16",  // no online form, so no window cap
+		"nopw:30:2",   // window cap < 3
+		"opwtr:30:3.5",
+		"tdtr:NaN", // non-finite arguments
+		"opwtr:Inf",
+		"dr:-Inf",
+		"opwsp:30:NaN",
+		"sw:+Inf:8",
+		"opwtr:30:NaN",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -90,5 +105,38 @@ func TestParsedAlgorithmsRun(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s output invalid: %v", alg.Name(), err)
 		}
+	}
+}
+
+// The registry is one consistent table: unique lower-case keywords, a weak
+// flag that agrees with the algorithm it builds, and ParseOnline accepting
+// exactly the entries with an online form.
+func TestRegistryConsistent(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Registry() {
+		if s.Name != strings.ToLower(s.Name) || seen[s.Name] {
+			t.Errorf("keyword %q is not lower case or not unique", s.Name)
+		}
+		seen[s.Name] = true
+		spec := s.Name
+		for _, k := range s.Args {
+			spec += map[ArgKind]string{Tolerance: ":10", Speed: ":5", Stride: ":2", Budget: ":8", Window: ":8", WindowCap: ":0"}[k]
+		}
+		alg, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if IsWeak(alg) != s.Weak {
+			t.Errorf("%s: registry weak=%v, algorithm weak=%v", s.Name, s.Weak, IsWeak(alg))
+		}
+		if _, err := ParseOnline(spec); (err == nil) != (s.Online != nil) {
+			t.Errorf("ParseOnline(%q): %v, entry online=%v", spec, err, s.Online != nil)
+		}
+		if got, ok := Lookup(strings.ToUpper(spec)); !ok || got.Name != s.Name {
+			t.Errorf("Lookup(%q) = %q, %v", spec, got.Name, ok)
+		}
+	}
+	if _, err := ParseOnline(DefaultOnline); err != nil {
+		t.Errorf("DefaultOnline %q: %v", DefaultOnline, err)
 	}
 }

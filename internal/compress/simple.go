@@ -121,24 +121,69 @@ func (d DeadReckoning) Name() string { return fmt.Sprintf("DeadReckoning(%g)", d
 
 // Compress implements Algorithm.
 func (d DeadReckoning) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance("DeadReckoning", d.Threshold)
-	if out, ok := small(p); ok {
-		return out
+	return runEngine(p, NewDeadReckoningEngine(d.Threshold))
+}
+
+// DeadReckoningEngine is the incremental core of DeadReckoning, shared by
+// the batch algorithm and the online wrapper in internal/stream. The sample
+// after each retained point only fixes the new velocity; prediction is
+// tested from the one after it.
+type DeadReckoningEngine struct {
+	threshold    float64
+	anchor, prev trajectory.Sample
+	vx, vy       float64
+	n            int // samples seen since the last re-anchor
+	out          []trajectory.Sample
+}
+
+// NewDeadReckoningEngine returns a reset engine with deviation bound
+// threshold (metres).
+func NewDeadReckoningEngine(threshold float64) *DeadReckoningEngine {
+	validateDistance("DeadReckoning", threshold)
+	return &DeadReckoningEngine{threshold: threshold}
+}
+
+// Pending implements Engine: at most the one sample behind the anchor.
+func (d *DeadReckoningEngine) Pending() int {
+	if d.n > 1 {
+		return 1
 	}
-	out := trajectory.Trajectory{p[0]}
-	anchor := 0
-	// Velocity derived from the segment leaving the anchor.
-	vx := (p[1].X - p[0].X) / (p[1].T - p[0].T)
-	vy := (p[1].Y - p[0].Y) / (p[1].T - p[0].T)
-	for i := 2; i < p.Len()-1; i++ {
-		dt := p[i].T - p[anchor].T
-		pred := geo.Pt(p[anchor].X+vx*dt, p[anchor].Y+vy*dt)
-		if p[i].Pos().Dist(pred) > d.Threshold {
-			out = append(out, p[i])
-			anchor = i
-			vx = (p[i+1].X - p[i].X) / (p[i+1].T - p[i].T)
-			vy = (p[i+1].Y - p[i].Y) / (p[i+1].T - p[i].T)
+	return 0
+}
+
+// Push implements Engine.
+func (d *DeadReckoningEngine) Push(s trajectory.Sample) []trajectory.Sample {
+	d.out = d.out[:0]
+	switch d.n {
+	case 0:
+		d.anchor = s
+		d.out = append(d.out, s)
+	case 1:
+		dt := s.T - d.anchor.T
+		d.vx = (s.X - d.anchor.X) / dt
+		d.vy = (s.Y - d.anchor.Y) / dt
+	default:
+		dt := s.T - d.anchor.T
+		predX := d.anchor.X + d.vx*dt
+		predY := d.anchor.Y + d.vy*dt
+		dx, dy := s.X-predX, s.Y-predY
+		if dx*dx+dy*dy > d.threshold*d.threshold {
+			d.out = append(d.out, s)
+			d.anchor = s
+			d.n = 0 // the velocity re-derives from the next sample
 		}
 	}
-	return append(out, p[p.Len()-1])
+	d.prev = s
+	d.n++
+	return d.out
+}
+
+// Flush implements Engine, emitting the last sample unless it is the anchor.
+func (d *DeadReckoningEngine) Flush() []trajectory.Sample {
+	d.out = d.out[:0]
+	if d.n > 1 {
+		d.out = append(d.out, d.prev)
+	}
+	d.n = 0
+	return d.out
 }

@@ -72,3 +72,29 @@ func RenderFrontier(w io.Writer, f Figure) error {
 	}
 	return tw.Flush()
 }
+
+// RenderAll writes every artifact of `experiments -run all` to w in order,
+// each followed by a blank line: Table 2, Figures 7–10, Fig. 11 as a
+// frontier, then the extensions. A non-nil onFigure is called with each
+// figure rendered as tables (the command writes its SVG charts there).
+func RenderAll(w io.Writer, onFigure func(Figure)) error {
+	err := RenderTable2(w, Table2())
+	paper := AllFigures()
+	figs := append(paper, OnePassFigure(), AblationTailDrop(), AblationBreakStrategy(),
+		TaxonomyFigure(), BudgetFigure(), MapMatchFigure())
+	for i, f := range figs {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		if i == len(paper)-1 {
+			err = RenderFrontier(w, f)
+			continue
+		}
+		if err = RenderFigure(w, f); err == nil && onFigure != nil {
+			onFigure(f)
+		}
+	}
+	fmt.Fprintln(w)
+	return err
+}

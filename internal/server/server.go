@@ -72,8 +72,8 @@
 //	                                          connection; the feed is
 //	                                          best-effort (slow subscribers
 //	                                          never block ingest). The
-//	                                          optional spec is a
-//	                                          stream.ParseFactory algorithm
+//	                                          optional spec is an online
+//	                                          spec of the compress registry
 //	                                          (e.g. operb:30, ciseds:30,
 //	                                          opwtr:30) applied per object on
 //	                                          this subscriber's feed: only

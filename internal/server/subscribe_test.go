@@ -97,6 +97,18 @@ func TestServerSubscribePolicyGrammar(t *testing.T) {
 	}
 }
 
+// A non-finite spec argument reaches the compressor grammar from any client;
+// it must be refused, not build a compressor that never cuts.
+func TestServerSubscribeRejectsNonFiniteSpec(t *testing.T) {
+	addr, shutdown := startServer(t, store.New(store.Options{}))
+	defer shutdown()
+	for _, line := range []string{"SUBSCRIBE * opwtr:NaN", "SUBSCRIBE * opwtr:Inf", "SUBSCRIBE car-1 opwsp:30:NaN"} {
+		if _, _, resp := subscribeLine(t, addr, line); !strings.HasPrefix(resp, "ERR") {
+			t.Errorf("%q → %q, want ERR", line, resp)
+		}
+	}
+}
+
 // TestServerEvictReleasesFeedCompressors is the server-level wiring test
 // for the compressor-leak fix: after EVICT removes objects, wildcard feeds
 // with a compression spec must shed the evicted objects' compressors.

@@ -29,11 +29,35 @@ func fuzzTrack(seed int64, n int) trajectory.Trajectory {
 	return p
 }
 
-// FuzzOPWSPStreamMatchesBatch drives the online OPW-SP engine over
-// fuzz-shaped trajectories and checks it against the batch algorithm:
+// refPerp, refSED and refSP are the index-form halting conditions of the
+// opening-window family, as the batch loop evaluated them.
+func refPerp(d float64) refViolation {
+	return func(p trajectory.Trajectory, anchor, float, i int) bool {
+		return geo.Seg(p[anchor].Pos(), p[float].Pos()).PerpDist(p[i].Pos()) > d
+	}
+}
+
+func refSED(d float64) refViolation {
+	return func(p trajectory.Trajectory, anchor, float, i int) bool {
+		return sed.Distance(p[i], p[anchor], p[float]) > d
+	}
+}
+
+func refSP(d, v float64) refViolation {
+	return func(p trajectory.Trajectory, anchor, float, i int) bool {
+		return refSED(d)(p, anchor, float, i) || math.Abs(p.SegmentSpeed(i)-p.SegmentSpeed(i-1)) > v
+	}
+}
+
+// FuzzOPWSPStreamMatchesBatch drives the opening-window engine over
+// fuzz-shaped trajectories and checks it against the reference batch loop:
 //
-//   - unbounded window: the emitted stream must equal the batch output
-//     bit-for-bit (the package's core contract);
+//   - for every halting condition (perpendicular, synchronized,
+//     spatiotemporal), both break strategies, both tail policies and with
+//     and without the fuzzed window cap, the stream wrapper over the engine
+//     must equal the reference output bit for bit, and so must the batch
+//     algorithm (NOPW, BOPW, OPWTR or OPWSP, where one has that
+//     configuration);
 //   - bounded window: forced cuts may retain extra points, but the output
 //     must stay a valid vertex subsequence with both endpoints, and no two
 //     consecutive retained points may span more than maxWindow input
@@ -48,19 +72,46 @@ func FuzzOPWSPStreamMatchesBatch(f *testing.F) {
 			return
 		}
 		p := fuzzTrack(seed, int(n))
-
-		// Unbounded: online == batch, exactly.
-		got, err := Collect(NewOPWSP(dist, speed, 0), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.OPWSP{DistThreshold: dist, SpeedThreshold: speed}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("unbounded online OPW-SP diverges from batch: %d vs %d points", got.Len(), want.Len())
-		}
-
-		// Bounded: clamp the fuzzed cap into the legal range [3, 64].
+		// Clamp the fuzzed cap into the legal range [3, 64].
 		maxWindow := 3 + int(win)%62
+
+		for _, strategy := range []compress.BreakStrategy{compress.BreakAtViolation, compress.BreakBefore} {
+			for _, dropTail := range []bool{false, true} {
+				for _, c := range []struct {
+					name   string
+					engine compress.Violation
+					ref    refViolation
+					batch  compress.Algorithm // nil: no batch type has this configuration
+				}{
+					{"perp", compress.PerpViolation(dist), refPerp(dist),
+						map[compress.BreakStrategy]compress.Algorithm{
+							compress.BreakAtViolation: compress.NOPW{Threshold: dist, DropTail: dropTail},
+							compress.BreakBefore:      compress.BOPW{Threshold: dist, DropTail: dropTail},
+						}[strategy]},
+					{"sed", compress.SEDViolation(dist), refSED(dist),
+						compress.OPWTR{Threshold: dist, Strategy: strategy, DropTail: dropTail}},
+					{"sp", compress.SPViolation(dist, speed), refSP(dist, speed),
+						map[compress.BreakStrategy]compress.Algorithm{
+							compress.BreakAtViolation: compress.OPWSP{DistThreshold: dist, SpeedThreshold: speed, DropTail: dropTail},
+						}[strategy]},
+				} {
+					for _, w := range []int{0, maxWindow} {
+						want := refOpeningWindow(p, strategy, dropTail, w, c.ref)
+						got, err := Collect(wrap(compress.NewOPWEngine(c.engine, strategy, dropTail, w)), p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameTrajectory(got, want) {
+							t.Fatalf("%s/%v/dropTail=%v/cap %d: engine %d points, reference %d", c.name, strategy, dropTail, w, got.Len(), want.Len())
+						}
+					}
+					if c.batch != nil && !sameTrajectory(c.batch.Compress(p), refOpeningWindow(p, strategy, dropTail, 0, c.ref)) {
+						t.Fatalf("%s diverges from the reference", c.batch.Name())
+					}
+				}
+			}
+		}
+
 		bounded, err := Collect(NewOPWSP(dist, speed, maxWindow), p)
 		if err != nil {
 			t.Fatal(err)
@@ -90,12 +141,12 @@ func FuzzOPWSPStreamMatchesBatch(f *testing.F) {
 	})
 }
 
-// FuzzOPERBStreamMatchesBatch mirrors the OPW-SP target for the one-pass
-// OPERB engine: the emitted stream must equal the batch output bit-for-bit
-// (they share one engine, so this pins the wrapper), stay a vertex
-// subsequence with both endpoints, and honour the bounded-error invariant —
-// every discarded point within ε (perpendicular distance, plus float slack)
-// of the output segment covering it.
+// FuzzOPERBStreamMatchesBatch checks the online OPERB compressor (the
+// batch algorithm runs the same engine): the emitted stream must stay a
+// vertex subsequence with both endpoints, honour the bounded-error
+// invariant — every discarded point within ε (segment distance, plus float
+// slack) of the output segment covering it — and reject out-of-order
+// input.
 func FuzzOPERBStreamMatchesBatch(f *testing.F) {
 	f.Add(int64(1), uint8(40), float64(50))
 	f.Add(int64(7), uint8(3), float64(0))
@@ -106,41 +157,21 @@ func FuzzOPERBStreamMatchesBatch(f *testing.F) {
 			return
 		}
 		p := fuzzTrack(seed, int(n))
-		got, err := Collect(NewOPERB(eps), p)
+		c := NewOPERB(eps)
+		got, err := Collect(c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := compress.OPERB{Threshold: eps}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("online OPERB diverges from batch: %d vs %d points", got.Len(), want.Len())
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if !got.IsVertexSubsetOf(p) {
-			t.Fatal("output is not a vertex subsequence of the input")
-		}
-		if got[0] != p[0] || got[got.Len()-1] != p[p.Len()-1] {
-			t.Fatal("output dropped an endpoint")
-		}
-		tol := eps*(1+1e-9) + 1e-3
-		j := 0
-		for _, s := range p {
-			for j+1 < got.Len()-1 && got[j+1].T < s.T {
-				j++
-			}
-			seg := geo.Seg(got[j].Pos(), got[j+1].Pos())
-			if d := seg.Dist(s.Pos()); d > tol {
-				t.Fatalf("sample t=%v is %v from its covering segment, bound %v", s.T, d, tol)
-			}
-		}
+		checkSubsequence(t, "OPERB", p, got)
+		checkBound(t, "OPERB", p, got, onePassTol(eps), segDist)
+		checkRejectsOutOfOrder(t, "OPERB", c, p)
 	})
 }
 
 // FuzzCISEDStreamMatchesBatch is the same target for both CISED variants,
 // with the bounded-error invariant measured in the synchronous Euclidean
-// distance. The weak variant is additionally pinned to never invent
-// timestamps.
+// distance. The weak variant synthesizes its joints, so instead of the
+// subsequence property it is pinned to never invent timestamps.
 func FuzzCISEDStreamMatchesBatch(f *testing.F) {
 	f.Add(int64(1), uint8(40), float64(50), false)
 	f.Add(int64(7), uint8(3), float64(0), true)
@@ -151,25 +182,13 @@ func FuzzCISEDStreamMatchesBatch(f *testing.F) {
 			return
 		}
 		p := fuzzTrack(seed, int(n))
-		fresh := func() Compressor {
-			if weak {
-				return NewCISEDW(eps)
-			}
-			return NewCISEDS(eps)
+		c := NewCISEDS(eps)
+		if weak {
+			c = NewCISEDW(eps)
 		}
-		got, err := Collect(fresh(), p)
+		got, err := Collect(c, p)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var batch compress.Algorithm
-		if weak {
-			batch = compress.CISEDW{Threshold: eps}
-		} else {
-			batch = compress.CISEDS{Threshold: eps}
-		}
-		want := batch.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("online %s diverges from batch: %d vs %d points", batch.Name(), got.Len(), want.Len())
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
@@ -184,18 +203,10 @@ func FuzzCISEDStreamMatchesBatch(f *testing.F) {
 					t.Fatalf("CISED-W invented timestamp %v", s.T)
 				}
 			}
-		} else if !got.IsVertexSubsetOf(p) {
-			t.Fatal("CISED-S output is not a vertex subsequence of the input")
+		} else {
+			checkSubsequence(t, "CISED-S", p, got)
 		}
-		tol := eps*(1+1e-9) + 1e-3
-		j := 0
-		for _, s := range p {
-			for j+1 < got.Len()-1 && got[j+1].T < s.T {
-				j++
-			}
-			if d := sed.Distance(s, got[j], got[j+1]); d > tol {
-				t.Fatalf("sample t=%v has SED %v to its covering segment, bound %v", s.T, d, tol)
-			}
-		}
+		checkBound(t, "CISED", p, got, onePassTol(eps), sed.Distance)
+		checkRejectsOutOfOrder(t, "CISED", c, p)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/geo"
 	"repro/internal/gpsgen"
 	"repro/internal/sed"
 	"repro/internal/trajectory"
@@ -26,14 +25,14 @@ type onePassCase struct {
 	name   string
 	batch  func(eps float64) compress.Algorithm
 	stream func(eps float64) Compressor
-	sedErr bool // error metric: SED (CISED) vs perpendicular (OPERB)
+	dist   func(s, a, b trajectory.Sample) float64 // the algorithm's error metric
 }
 
 func onePassCases() []onePassCase {
 	return []onePassCase{
-		{"OPERB", func(e float64) compress.Algorithm { return compress.OPERB{Threshold: e} }, NewOPERB, false},
-		{"CISED-S", func(e float64) compress.Algorithm { return compress.CISEDS{Threshold: e} }, NewCISEDS, true},
-		{"CISED-W", func(e float64) compress.Algorithm { return compress.CISEDW{Threshold: e} }, NewCISEDW, true},
+		{"OPERB", func(e float64) compress.Algorithm { return compress.OPERB{Threshold: e} }, NewOPERB, segDist},
+		{"CISED-S", func(e float64) compress.Algorithm { return compress.CISEDS{Threshold: e} }, NewCISEDS, sed.Distance},
+		{"CISED-W", func(e float64) compress.Algorithm { return compress.CISEDW{Threshold: e} }, NewCISEDW, sed.Distance},
 	}
 }
 
@@ -51,27 +50,6 @@ func fleetTracks() []trajectory.Trajectory {
 		tracks = append(tracks, p.Shift(1.7e9, 0, 0))
 	}
 	return tracks
-}
-
-// checkBound asserts every input sample is within tol of the output
-// segment covering its timestamp, under the case's error metric.
-func checkBound(t *testing.T, c onePassCase, p, a trajectory.Trajectory, tol float64) {
-	t.Helper()
-	j := 0
-	for _, s := range p {
-		for j+1 < a.Len()-1 && a[j+1].T < s.T {
-			j++
-		}
-		var d float64
-		if c.sedErr {
-			d = sed.Distance(s, a[j], a[j+1])
-		} else {
-			d = geo.Seg(a[j].Pos(), a[j+1].Pos()).Dist(s.Pos())
-		}
-		if d > tol {
-			t.Fatalf("%s: sample t=%v is %v from the simplification, bound %v", c.name, s.T, d, tol)
-		}
-	}
 }
 
 func TestOnePassStreamMatchesBatch(t *testing.T) {
@@ -103,7 +81,7 @@ func TestOnePassErrorBoundOnFleets(t *testing.T) {
 				if err := got.Validate(); err != nil {
 					t.Fatalf("%s: track %d: %v", c.name, ti, err)
 				}
-				checkBound(t, c, p, got, onePassTol(eps))
+				checkBound(t, c.name, p, got, onePassTol(eps), c.dist)
 			}
 		}
 	}

@@ -1,111 +1,22 @@
 package stream
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
+
+	"repro/internal/compress"
 )
 
-// ParseFactory builds a compressor factory from a compact textual spec, as
-// used by the tracking server:
-//
-//	none                 no compression (returns a nil-factory)
-//	nopw:D[:W]           online NOPW, perpendicular tolerance D metres
-//	opwtr:D[:W]          online OPW-TR, synchronized tolerance D metres
-//	opwsp:D:V[:W]        online OPW-SP, speed tolerance V m/s
-//	dr:D                 online dead reckoning
-//	operb:D              one-pass error bounded (O(1) memory, no window)
-//	ciseds:D             one-pass strong SED simplification
-//	cisedw:D             one-pass weak SED simplification (synthesizes
-//	                     window-closing joints)
-//
-// W is the optional window cap (default unbounded). The one-pass
-// algorithms buffer at most one sample by construction and take no window
-// argument. The returned factory yields a fresh compressor per call; it is
-// nil for "none".
+// ParseFactory builds a compressor factory from a spec of the
+// compress.Registry grammar that has an online form (see
+// compress.OnlineGrammar), or "none" for no compression, which yields a nil
+// factory. Otherwise the factory yields a fresh compressor per call.
 func ParseFactory(spec string) (func() Compressor, error) {
-	parts := strings.Split(spec, ":")
-	name := strings.ToLower(strings.TrimSpace(parts[0]))
-	args := make([]float64, 0, len(parts)-1)
-	for i, a := range parts[1:] {
-		v, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
-		if err != nil {
-			return nil, fmt.Errorf("stream: spec %q: argument %d: %w", spec, i+1, err)
-		}
-		args = append(args, v)
-	}
-	window := func(idx int) (int, error) {
-		if len(args) <= idx {
-			return 0, nil
-		}
-		w := args[idx]
-		//lint:allow floatcmp integrality check and zero sentinel on a parsed window flag
-		if w != float64(int(w)) || (w != 0 && w < 3) {
-			return 0, fmt.Errorf("stream: spec %q: window must be 0 or an integer ≥ 3", spec)
-		}
-		return int(w), nil
-	}
-	argsBetween := func(lo, hi int) error {
-		if len(args) < lo || len(args) > hi {
-			return fmt.Errorf("stream: spec %q: %s takes %d to %d arguments, got %d", spec, name, lo, hi, len(args))
-		}
-		return nil
-	}
-
-	switch name {
-	case "none":
-		if err := argsBetween(0, 0); err != nil {
-			return nil, err
-		}
+	if strings.EqualFold(strings.TrimSpace(spec), "none") {
 		return nil, nil
-	case "nopw", "opwtr":
-		if err := argsBetween(1, 2); err != nil {
-			return nil, err
-		}
-		d := args[0]
-		if d < 0 {
-			return nil, fmt.Errorf("stream: spec %q: negative threshold", spec)
-		}
-		w, err := window(1)
-		if err != nil {
-			return nil, err
-		}
-		if name == "nopw" {
-			return func() Compressor { return NewNOPW(d, w) }, nil
-		}
-		return func() Compressor { return NewOPWTR(d, w) }, nil
-	case "opwsp":
-		if err := argsBetween(2, 3); err != nil {
-			return nil, err
-		}
-		d, v := args[0], args[1]
-		if d < 0 || v <= 0 {
-			return nil, fmt.Errorf("stream: spec %q: thresholds must be positive", spec)
-		}
-		w, err := window(2)
-		if err != nil {
-			return nil, err
-		}
-		return func() Compressor { return NewOPWSP(d, v, w) }, nil
-	case "dr", "operb", "ciseds", "cisedw":
-		if err := argsBetween(1, 1); err != nil {
-			return nil, err
-		}
-		d := args[0]
-		if d < 0 {
-			return nil, fmt.Errorf("stream: spec %q: negative threshold", spec)
-		}
-		switch name {
-		case "operb":
-			return func() Compressor { return NewOPERB(d) }, nil
-		case "ciseds":
-			return func() Compressor { return NewCISEDS(d) }, nil
-		case "cisedw":
-			return func() Compressor { return NewCISEDW(d) }, nil
-		default:
-			return func() Compressor { return NewDeadReckoning(d) }, nil
-		}
-	default:
-		return nil, fmt.Errorf("stream: unknown online algorithm %q (want none, nopw, opwtr, opwsp, dr, operb, ciseds or cisedw)", name)
 	}
+	newEngine, err := compress.ParseOnline(spec)
+	if err != nil {
+		return nil, err
+	}
+	return func() Compressor { return wrap(newEngine()) }, nil
 }

@@ -7,7 +7,8 @@ import (
 )
 
 func TestParseFactoryValid(t *testing.T) {
-	cases := []string{"nopw:30", "opwtr:30", "opwtr:30:16", "opwsp:30:5", "opwsp:30:5:16", "dr:40"}
+	cases := []string{"nopw:30", "nopw:30:0", "opwtr:30", "opwtr:30:16", "opwsp:30:5", "opwsp:30:5:16", "dr:40",
+		"operb:30", "ciseds:30", "cisedw:30", "OPWTR:30"}
 	p := trajectory.Trajectory{
 		trajectory.S(0, 0, 0), trajectory.S(10, 100, 0), trajectory.S(20, 150, 80),
 	}
@@ -53,6 +54,12 @@ func TestParseFactoryInvalid(t *testing.T) {
 		"opwsp:30:0",  // zero speed
 		"dr:30:5",     // too many args
 		"none:1",      // none takes no args
+		"tdtr:30",     // no online form
+		"opwtr:NaN",   // non-finite arguments
+		"opwtr:Inf",
+		"dr:Inf",
+		"opwsp:30:NaN",
+		"nopw:30:Inf",
 	}
 	for _, spec := range cases {
 		if _, err := ParseFactory(spec); err == nil {

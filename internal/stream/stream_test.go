@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/gpsgen"
+	"repro/internal/sed"
 	"repro/internal/trajectory"
 )
 
@@ -31,58 +32,93 @@ func sameTrajectory(a, b trajectory.Trajectory) bool {
 	return true
 }
 
-// The online OPW-TR stream must equal the batch algorithm's output exactly.
+// The online opening-window compressors keep the ε bound of their halting
+// condition against every output segment, return a vertex subsequence with
+// both endpoints, and reject out-of-order input. (Stream equals batch by
+// construction: both drive the same compress.OPWEngine; the engine is
+// checked against the reference batch loop in FuzzOPWSPStreamMatchesBatch.)
 func TestOnlineOPWTRMatchesBatch(t *testing.T) {
 	for _, p := range testTrips() {
 		for _, eps := range []float64{20, 50, 100} {
-			got, err := Collect(NewOPWTR(eps, 0), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := compress.OPWTR{Threshold: eps}.Compress(p)
-			if !sameTrajectory(got, want) {
-				t.Fatalf("OPW-TR eps=%v: online %d points, batch %d points", eps, got.Len(), want.Len())
-			}
+			checkOnline(t, "OPW-TR", NewOPWTR(eps, 0), p, eps, sed.Distance)
 		}
 	}
 }
 
 func TestOnlineOPWSPMatchesBatch(t *testing.T) {
 	for _, p := range testTrips() {
-		got, err := Collect(NewOPWSP(50, 5, 0), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.OPWSP{DistThreshold: 50, SpeedThreshold: 5}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("OPW-SP: online %d points, batch %d points", got.Len(), want.Len())
-		}
+		checkOnline(t, "OPW-SP", NewOPWSP(50, 5, 0), p, 50, sed.Distance)
 	}
 }
 
 func TestOnlineNOPWMatchesBatch(t *testing.T) {
 	for _, p := range testTrips() {
-		got, err := Collect(NewNOPW(50, 0), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.NOPW{Threshold: 50}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("NOPW: online %d points, batch %d points", got.Len(), want.Len())
+		checkOnline(t, "NOPW", NewNOPW(50, 0), p, 50, lineDist)
+	}
+}
+
+// checkOnline runs c over p and checks the subsequence property, the ε
+// bound under dist and out-of-order rejection.
+func checkOnline(t *testing.T, name string, c Compressor, p trajectory.Trajectory, eps float64, dist func(s, a, b trajectory.Sample) float64) {
+	t.Helper()
+	got, err := Collect(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSubsequence(t, name, p, got)
+	checkBound(t, name, p, got, eps, dist)
+	checkRejectsOutOfOrder(t, name, c, p)
+}
+
+// Dead reckoning equals its reference batch loop for every ε > 0, online
+// and batch alike.
+func TestOnlineDeadReckoningMatchesBatch(t *testing.T) {
+	for _, p := range append(testTrips(), fuzzTrack(3, 250), fuzzTrack(9, 250)) {
+		for _, eps := range []float64{1e-6, 5, 50} {
+			want := refDeadReckoning(p, eps)
+			got, err := Collect(NewDeadReckoning(eps), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTrajectory(got, want) {
+				t.Fatalf("DeadReckoning ε=%v: online %d points, reference %d points", eps, got.Len(), want.Len())
+			}
+			if batch := (compress.DeadReckoning{Threshold: eps}).Compress(p); !sameTrajectory(batch, want) {
+				t.Fatalf("DeadReckoning ε=%v: batch %d points, reference %d points", eps, batch.Len(), want.Len())
+			}
 		}
 	}
 }
 
-func TestOnlineDeadReckoningMatchesBatch(t *testing.T) {
-	for _, p := range testTrips() {
-		got, err := Collect(NewDeadReckoning(50), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.DeadReckoning{Threshold: 50}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("DeadReckoning: online %d points, batch %d points", got.Len(), want.Len())
-		}
+// At ε = 0 every tested sample off its prediction is retained, and the
+// sample after each retained one only fixes the new velocity and is never
+// tested. On a track with no exactly predictable sample the output is
+// therefore every other sample plus the last one. (The reference loop
+// tested that sample too, and kept it whenever the extrapolation rounded
+// one ulp off.)
+func TestDeadReckoningZeroEpsilon(t *testing.T) {
+	p := fuzzTrack(5, 101)
+	var want trajectory.Trajectory
+	for i := 0; i < p.Len(); i += 2 {
+		want = append(want, p[i])
+	}
+	got, err := Collect(NewDeadReckoning(0), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTrajectory(got, want) {
+		t.Fatalf("online: %d points, want %d", got.Len(), want.Len())
+	}
+	if batch := (compress.DeadReckoning{Threshold: 0}).Compress(p); !sameTrajectory(batch, want) {
+		t.Fatalf("batch: %d points, want %d", batch.Len(), want.Len())
+	}
+	even := p[:100]
+	got, err = Collect(NewDeadReckoning(0), even)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(want[:50:50], even[99]); !sameTrajectory(got, want) {
+		t.Fatalf("even length: %d points, want %d", got.Len(), want.Len())
 	}
 }
 

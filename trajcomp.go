@@ -265,7 +265,8 @@ func NewCISEDW(threshold float64) Algorithm { return compress.CISEDW{Threshold: 
 func IsWeakAlgorithm(alg Algorithm) bool { return compress.IsWeak(alg) }
 
 // ParseAlgorithm builds an algorithm from a textual spec such as "tdtr:30"
-// or "opwsp:30:5"; see the compress package documentation for the grammar.
+// or "opwsp:30:5"; the grammar is the compress package's registry, shared
+// with the server's -compress flag and SUBSCRIBE specs.
 func ParseAlgorithm(spec string) (Algorithm, error) { return compress.Parse(spec) }
 
 // CompressAll compresses every trajectory with alg on a bounded worker pool
